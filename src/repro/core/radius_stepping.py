@@ -84,6 +84,7 @@ def radius_stepping(
     track_parents: bool = False,
     track_trace: bool = False,
     ledger=None,
+    obs=None,
     algorithm_name: str = "radius-stepping",
 ) -> SsspResult:
     """Run Radius-Stepping from ``source`` with vertex radii ``radii``.
@@ -101,6 +102,9 @@ def radius_stepping(
         (the data behind Figure 1's illustration).
     ledger: optional :class:`repro.pram.ledger.Ledger`; when given, every
         bulk operation charges the PRAM work/depth costs of Section 3.3.
+    obs: optional :class:`~repro.obs.metrics.BoundEngineTelemetry`;
+        when given, every outer step records its settled-vertex and
+        substep counts.
 
     Returns
     -------
@@ -117,6 +121,7 @@ def radius_stepping(
         track_parents=track_parents,
         track_trace=track_trace,
         ledger=ledger,
+        obs=obs,
         algorithm_name=algorithm_name,
         params={"source": source},
     )

@@ -191,6 +191,7 @@ def _vectorized(graph, source, radii, *, track_parents, track_trace, ledger, obs
         track_parents=track_parents,
         track_trace=track_trace,
         ledger=ledger,
+        obs=obs,
     )
 
 

@@ -26,7 +26,10 @@ becomes a production serving story in cooperating parts:
 * :mod:`~repro.serve.router` — :class:`ShardRouter`, the sharded
   implementation of the same surface: one planner per shard, exact
   cross-shard stitching through the boundary overlay, bit-identical
-  answers (see ``examples/sharded_service.py``).
+  answers (see ``examples/sharded_service.py``).  Validation,
+  ``instrument()``, the scrape collector and per-planner stats are
+  one shared implementation that the single-graph service uses as
+  the one-shard case.
 * :mod:`~repro.serve.backends` — :class:`ShardBackend`, the
   transport seam under the router: :class:`LocalBackend` wraps an
   in-process planner, :class:`RemoteBackend` speaks HTTP to a shard
@@ -40,8 +43,9 @@ becomes a production serving story in cooperating parts:
   ``examples/http_routing_service.py``), with ``GET /metrics``
   (Prometheus text over :mod:`repro.obs`), per-request ``X-Request-Id``
   tracing, and a ``GET /debug/slow`` slow-query log.
-* :mod:`~repro.serve.obs_bridge` — scrape-time collectors that put the
-  planner/router counters on ``/metrics`` with zero hot-path cost.
+* :mod:`~repro.serve.obs_bridge` — the shared ``instrument()`` and the
+  scrape-time collector that put the planner/router counters on
+  ``/metrics`` with zero hot-path cost.
 """
 
 from .artifacts import (

@@ -38,6 +38,7 @@ graph's arrays are read-only memmap views the solvers use in place.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import zipfile
 from dataclasses import dataclass
@@ -109,6 +110,27 @@ class ArtifactVersionError(ArtifactError):
 class ArtifactGraphMismatchError(ArtifactError):
     """The bundle was preprocessed from a different graph than the one
     the caller wants to serve."""
+
+
+#: constructor keywords a warm start may still set; every other
+#: constructor parameter of a serving surface is preprocessing, which
+#: the artifact fixes.
+_SERVING_KNOBS = frozenset(
+    {"engine", "cache_capacity", "cache_stripes", "track_parents", "query_jobs"}
+)
+
+
+def _reject_baked_knobs(cls, kwargs: dict, fixes: str, them: str) -> None:
+    """``from_artifact`` guard: a preprocessing knob passed at warm start
+    would be silently ignored, so any constructor keyword of ``cls``
+    that is not a serving knob raises ``TypeError``."""
+    baked = inspect.signature(cls).parameters.keys() - _SERVING_KNOBS
+    rejected = baked & kwargs.keys()
+    if rejected:
+        raise TypeError(
+            f"from_artifact does not accept {sorted(rejected)}: the {fixes}; "
+            f"rebuild with {cls.__name__}(graph, ...) to change {them}"
+        )
 
 
 def _payload_hash(

@@ -52,6 +52,7 @@ import numpy as np
 from ..obs.metrics import LATENCY_BUCKETS, Histogram
 from ..obs.trace import current_trace
 from .planner import QueryPlanner, Route, SingleSource
+from .surface import _shard_stats
 
 __all__ = [
     "MAX_ROWS_PER_FETCH",
@@ -287,7 +288,9 @@ class LocalBackend(_BaseBackend):
         return self.planner.route(int(local_source), int(local_target))
 
     def stats(self) -> dict:
-        return self.planner.stats()
+        """Planner counters, ``queries_answered`` and provenance — the
+        keys a remote shard's ``/stats`` carries."""
+        return _shard_stats(self.planner, self.solver)
 
     def healthz(self) -> dict:
         return {"status": "ok", "shard": self.shard}

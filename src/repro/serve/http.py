@@ -110,7 +110,7 @@ from .backends import (
     encode_rows,
 )
 from .planner import KNearest, Nearest, PointToPoint, Route, SingleSource
-from .surface import QuerySurface
+from .surface import QuerySurface, json_finite
 
 __all__ = ["RoutingHTTPServer", "serve"]
 
@@ -182,12 +182,6 @@ def _parse_int(text: str, what: str) -> int:
     return int(text)
 
 
-def _finite(value: float) -> float | None:
-    """JSON has no Infinity: unreachable distances become ``null``."""
-    value = float(value)
-    return value if np.isfinite(value) else None
-
-
 def _distances_payload(source: int, dist: np.ndarray) -> dict:
     finite = np.isfinite(dist)
     return {
@@ -206,7 +200,7 @@ def _route_payload(route: Route) -> dict:
         "type": "route",
         "source": int(route.source),
         "target": int(route.target),
-        "distance": _finite(route.distance),
+        "distance": json_finite(route.distance),
         "reachable": bool(np.isfinite(route.distance)),
         "path": None if route.path is None else [int(v) for v in route.path],
     }

@@ -144,17 +144,20 @@ class _Row:
 
 
 class _Stripe:
-    """One lock-protected shard of the LRU row cache.
+    """One lock-protected LRU row cache with its own counters.
 
-    Counters live here (not on the planner) so the hot path touches a
-    single mutex per probe; :meth:`QueryPlanner.stats` aggregates.
+    The planner shards its cache into stripes, and the shard router's
+    stitched full-row cache is one more.  Counters live here (not on the
+    owner) so the hot path touches a single mutex per probe; the lock is
+    held for the dict probe/insert only.  :meth:`QueryPlanner.stats`
+    aggregates its stripes' :meth:`counters`.
     """
 
     __slots__ = ("lock", "rows", "capacity", "lookups", "hits", "misses", "evictions")
 
     def __init__(self, capacity: int) -> None:
         self.lock = threading.Lock()
-        self.rows: OrderedDict[tuple[str, str, int], _Row] = OrderedDict()
+        self.rows: OrderedDict = OrderedDict()
         self.capacity = capacity
         # ``lookups`` is counted independently of hits/misses so the
         # exported ``hits + misses == lookups`` invariant is a real
@@ -163,6 +166,41 @@ class _Stripe:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+
+    def lookup(self, key):
+        """Cache probe; refreshes LRU recency, counts hit/miss."""
+        with self.lock:
+            self.lookups += 1
+            row = self.rows.get(key)
+            if row is None:
+                self.misses += 1
+                return None
+            self.rows.move_to_end(key)
+            self.hits += 1
+            return row
+
+    def insert(self, key, row) -> None:
+        """Store ``row`` as most recent, evicting past ``capacity``."""
+        with self.lock:
+            if self.capacity <= 0:
+                return
+            self.rows[key] = row
+            self.rows.move_to_end(key)
+            while len(self.rows) > self.capacity:
+                self.rows.popitem(last=False)
+                self.evictions += 1
+
+    def counters(self) -> dict:
+        """One consistent snapshot of this cache's counters."""
+        with self.lock:
+            return {
+                "capacity": self.capacity,
+                "cached_rows": len(self.rows),
+                "hits": self.hits,
+                "misses": self.misses,
+                "lookups": self.lookups,
+                "evictions": self.evictions,
+            }
 
 
 class _InFlight:
@@ -216,6 +254,40 @@ def normalize_query(query) -> SingleSource | PointToPoint | KNearest:
         f"unsupported query {query!r}; expected SingleSource / PointToPoint "
         "/ KNearest, an int source, or an (s, t) pair"
     )
+
+
+def _check_vertex(v, what: str, n: int) -> int:
+    """Type- and range-check a query vertex up front; returns it as an
+    ``int``.  Numpy would accept a negative index and silently serve the
+    answer for vertex ``n + v``, and ``bool`` would silently mean vertex
+    0/1 — unacceptable from a serving API.  Every query surface checks
+    through this one function, so they raise identical errors."""
+    v = coerce_vertex(v, what)
+    if not 0 <= v < n:
+        raise ValueError(f"{what} {v} out of range for a graph with n={n} vertices")
+    return v
+
+
+def _validate(query, n: int) -> None:
+    """Check one normalized query against a graph of ``n`` vertices."""
+    _check_vertex(query.source, "source", n)
+    if isinstance(query, PointToPoint):
+        _check_vertex(query.target, "target", n)
+    elif isinstance(query, KNearest):
+        if isinstance(query.k, (bool, np.bool_)) or not isinstance(
+            query.k, (int, np.integer)
+        ):
+            raise TypeError(f"k must be an integer, got {query.k!r}")
+        if query.k < 0:
+            raise ValueError(f"k must be >= 0, got {query.k}")
+
+
+def _validated(queries: Sequence, n: int) -> list:
+    """A batch normalized (:func:`normalize_query`) and validated."""
+    normalized = [normalize_query(q) for q in queries]
+    for q in normalized:
+        _validate(q, n)
+    return normalized
 
 
 def nearest_from_row(source: int, dist: np.ndarray, k: int) -> Nearest:
@@ -294,7 +366,6 @@ class QueryPlanner:
                     "pass track_parents=False or pick another engine"
                 )
         self._graph_hash = solver.graph.content_hash()
-        self._capacity = capacity
         self._track_parents = track_parents
         self._n_jobs = n_jobs
         n_stripes = max(1, min(stripes, capacity)) if capacity > 0 else 1
@@ -328,20 +399,6 @@ class QueryPlanner:
     def _stripe(self, source: int) -> _Stripe:
         return self._stripes[hash(int(source)) % len(self._stripes)]
 
-    def _lookup(self, source: int) -> _Row | None:
-        """Cache probe; refreshes LRU recency, counts hit/miss."""
-        key = self._key(source)
-        stripe = self._stripe(source)
-        with stripe.lock:
-            stripe.lookups += 1
-            row = stripe.rows.get(key)
-            if row is None:
-                stripe.misses += 1
-                return None
-            stripe.rows.move_to_end(key)
-            stripe.hits += 1
-            return row
-
     def _peek(self, source: int) -> _Row | None:
         """Counter-free cache re-check (no hit/miss, no LRU refresh).
 
@@ -353,18 +410,6 @@ class QueryPlanner:
         stripe = self._stripe(source)
         with stripe.lock:
             return stripe.rows.get(self._key(source))
-
-    def _insert(self, source: int, row: _Row) -> None:
-        stripe = self._stripe(source)
-        with stripe.lock:
-            if stripe.capacity == 0:
-                return
-            key = self._key(source)
-            stripe.rows[key] = row
-            stripe.rows.move_to_end(key)
-            while len(stripe.rows) > stripe.capacity:
-                stripe.rows.popitem(last=False)
-                stripe.evictions += 1
 
     def _fetch_rows(self, sources: Iterable[int]) -> dict[int, _Row]:
         """The planning core: cache-hit what we can, coalesce the rest.
@@ -394,7 +439,7 @@ class QueryPlanner:
         pending: list[tuple[int, _InFlight]] = []
         try:
             for s in wanted:
-                row = self._lookup(s)
+                row = self._stripe(s).lookup(self._key(s))
                 if row is not None:
                     rows[s] = row
                     continue
@@ -441,7 +486,7 @@ class QueryPlanner:
                     s, flight = pending[0]
                     row = _Row(res.dist, res.parent)
                     rows[s] = row
-                    self._insert(s, row)
+                    self._stripe(s).insert(self._key(s), row)
                     flight.row = row
                     with self._flight_lock:
                         self._inflight.pop(self._key(s), None)
@@ -491,36 +536,10 @@ class QueryPlanner:
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
-    def _check_vertex(self, v: int, what: str) -> None:
-        """Type- and range-check a query vertex up front: numpy would
-        accept a negative index and silently serve the answer for vertex
-        ``n + v``, and ``bool`` would silently mean vertex 0/1 —
-        unacceptable from a serving API."""
-        v = coerce_vertex(v, what)
-        if not 0 <= v < self._solver.graph.n:
-            raise ValueError(
-                f"{what} {v} out of range for a graph with "
-                f"n={self._solver.graph.n} vertices"
-            )
-
-    def _validate(self, query) -> None:
-        self._check_vertex(query.source, "source")
-        if isinstance(query, PointToPoint):
-            self._check_vertex(query.target, "target")
-        elif isinstance(query, KNearest):
-            if isinstance(query.k, (bool, np.bool_)) or not isinstance(
-                query.k, (int, np.integer)
-            ):
-                raise TypeError(f"k must be an integer, got {query.k!r}")
-            if query.k < 0:
-                raise ValueError(f"k must be >= 0, got {query.k}")
-
     def execute(self, queries: Sequence) -> list:
         """Answer a mixed batch: one coalesced solve for all cache
         misses, answers in input order."""
-        normalized = [normalize_query(q) for q in queries]
-        for q in normalized:
-            self._validate(q)
+        normalized = _validated(queries, self._solver.graph.n)
         with span("planner.execute", queries=len(normalized), engine=self._engine):
             rows = self._fetch_rows(q.source for q in normalized)
             distinct = len({int(q.source) for q in normalized})
@@ -548,11 +567,8 @@ class QueryPlanner:
         other entry point — ``warm([-1])`` raises instead of silently
         solving from vertex ``n - 1`` and caching it under key ``-1``.
         """
-        checked = []
-        for s in sources:
-            self._check_vertex(s, "source")
-            checked.append(int(s))
-        self._fetch_rows(checked)
+        n = self._solver.graph.n
+        self._fetch_rows([_check_vertex(s, "source", n) for s in sources])
 
     def stats(self) -> dict:
         """Counter snapshot for benchmarking and monitoring.
@@ -563,14 +579,10 @@ class QueryPlanner:
         but at quiescence ``hits + misses == lookups`` and
         ``cached_rows <= capacity`` always hold.
         """
-        lookups = hits = misses = evictions = cached = 0
+        lru = dict.fromkeys(self._stripes[0].counters(), 0)
         for stripe in self._stripes:
-            with stripe.lock:
-                lookups += stripe.lookups
-                hits += stripe.hits
-                misses += stripe.misses
-                evictions += stripe.evictions
-                cached += len(stripe.rows)
+            for key, value in stripe.counters().items():
+                lru[key] += value
         with self._stats_lock:
             coalesced = self._coalesced
             batches = self._batches
@@ -581,13 +593,8 @@ class QueryPlanner:
         return {
             "engine": self._engine,
             "graph_hash": self._graph_hash,
-            "capacity": self._capacity,
             "stripes": len(self._stripes),
-            "cached_rows": cached,
-            "hits": hits,
-            "misses": misses,
-            "lookups": lookups,
-            "evictions": evictions,
+            **lru,
             "coalesced": coalesced,
             "batches": batches,
             "solves": solves,

@@ -7,6 +7,10 @@ per shard, behind the same :class:`~repro.serve.surface.QuerySurface` —
 so the HTTP front end (or any embedder typed against the surface)
 cannot tell the difference, and neither can clients: answers are
 **bit-identical** to the unsharded service on integer-weighted graphs.
+The two surfaces share one query validator (:mod:`~repro.serve.planner`),
+one ``instrument()`` and scrape collector
+(:mod:`~repro.serve.obs_bridge`) and one per-planner ``stats()`` core
+(:mod:`~repro.serve.surface`); only the stitching is the router's own.
 
 How a query from source ``s`` (shard ``A``) is answered exactly:
 
@@ -58,8 +62,6 @@ stitched rows are identical.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -74,6 +76,7 @@ from ..preprocess.pipeline import ShardedPreprocessResult, build_sharded_kr_grap
 from .artifacts import (
     SHARDED_ARTIFACT_VERSION,
     ShardTopology,
+    _reject_baked_knobs,
     load_shard_topology,
     load_sharded_artifact,
     save_sharded_artifact,
@@ -85,9 +88,8 @@ from .backends import (
     ShardUnavailableError,
 )
 from .obs_bridge import (
+    _InstrumentedSurface,
     backend_families,
-    next_instance_label,
-    planner_cache_families,
     stitched_cache_families,
 )
 from .planner import (
@@ -97,16 +99,18 @@ from .planner import (
     QueryPlanner,
     Route,
     SingleSource,
-    coerce_vertex,
+    _check_vertex,
+    _Stripe,
+    _validate,
+    _validated,
     nearest_from_row,
-    normalize_query,
 )
-from .surface import json_finite
+from .surface import _engine_descriptions
 
 __all__ = ["ShardRouter"]
 
 #: planner counter keys summed across shards for the aggregate stats
-#: block (remote shards report the same keys from their own planners).
+#: block (every backend's ``stats()`` reports them).
 _AGG_KEYS = (
     "capacity",
     "cached_rows",
@@ -119,6 +123,20 @@ _AGG_KEYS = (
     "solves",
     "single_flight_waits",
     "inflight",
+)
+
+#: keys of a backend's ``stats()`` copied into its ``per_shard`` entry:
+#: the planner snapshot, the query total and the preprocessing
+#: provenance (:func:`repro.serve.surface._shard_stats`).
+_SHARD_KEYS = (
+    *_AGG_KEYS,
+    "engine",
+    "graph_hash",
+    "stripes",
+    "queries_answered",
+    "preferred_engine",
+    "reorder",
+    "locality",
 )
 
 
@@ -141,7 +159,7 @@ class _Stitched:
         self.ov_parent = ov_parent
 
 
-class ShardRouter:
+class ShardRouter(_InstrumentedSurface):
     """Shard-routed implementation of the serving query surface.
 
     Parameters
@@ -262,10 +280,13 @@ class ShardRouter:
                         "vertices but has no backend"
                     )
         self._backends: list[ShardBackend | None] = backends
-        # local-mode views (None entries for remote or empty shards):
-        # instrument() and the scrape collector reach planners directly
-        self._solvers = [getattr(b, "solver", None) for b in backends]
-        self._planners = [getattr(b, "planner", None) for b in backends]
+        # in-process shards: instrument() and the scrape collector reach
+        # their planners and solvers directly
+        self._local_shards = [
+            (s, b.planner, b.solver)
+            for s, b in enumerate(backends)
+            if getattr(b, "planner", None) is not None
+        ]
         # overlay bookkeeping: boundary vertices per shard, in both
         # overlay-local and shard-local ids (ascending original id)
         ovv = topology.overlay_vertices
@@ -281,15 +302,7 @@ class ShardRouter:
         ]
         self._boundary_local = [self._local[ovv[b]] for b in self._boundary_ov]
         # stitched full-row LRU (single lock: held for probe/insert only)
-        self._capacity = int(cache_capacity)
-        self._cache: OrderedDict[int, _Stitched] = OrderedDict()
-        self._cache_lock = threading.Lock()
-        self._lookups = 0
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._obs_registry = None
-        self._obs_label = ""
+        self._cache = _Stripe(int(cache_capacity))
 
     # ------------------------------------------------------------------ #
     # Construction / persistence
@@ -305,32 +318,15 @@ class ShardRouter:
     ) -> "ShardRouter":
         """Warm start from a sharded bundle directory.
 
-        Mirrors :meth:`RoutingService.from_artifact`: the bundle *is*
+        As with :meth:`RoutingService.from_artifact`, the bundle *is*
         the preprocessing (partition included), so partitioning and
         preprocessing knobs are rejected; remaining keyword arguments
         are the serving knobs of the constructor.  ``mmap=True`` keeps
         every shard's augmented CSR memory-mapped off its member file.
         """
-        baked = {
-            "graph",
-            "sharded",
-            "topology",
-            "backends",
-            "n_shards",
-            "partition",
-            "partition_seed",
-            "k",
-            "rho",
-            "heuristic",
-            "preprocess_jobs",
-        }
-        rejected = baked & kwargs.keys()
-        if rejected:
-            raise TypeError(
-                f"from_artifact does not accept {sorted(rejected)}: the "
-                "bundle fixes the partition and preprocessing; rebuild "
-                "with ShardRouter(graph, ...) to change them"
-            )
+        _reject_baked_knobs(
+            cls, kwargs, "bundle fixes the partition and preprocessing", "them"
+        )
         sharded = load_sharded_artifact(path, expect_graph=expect_graph, mmap=mmap)
         return cls(sharded=sharded, **kwargs)
 
@@ -492,23 +488,11 @@ class ShardRouter:
 
     def _stitched(self, source: int) -> _Stitched:
         source = int(source)
-        with self._cache_lock:
-            self._lookups += 1
-            entry = self._cache.get(source)
-            if entry is not None:
-                self._cache.move_to_end(source)
-                self._hits += 1
-                return entry
-            self._misses += 1
-        with span("router.stitch", source=source):
-            entry = self._stitch(source)
-        if self._capacity > 0:
-            with self._cache_lock:
-                self._cache[source] = entry
-                self._cache.move_to_end(source)
-                while len(self._cache) > self._capacity:
-                    self._cache.popitem(last=False)
-                    self._evictions += 1
+        entry = self._cache.lookup(source)
+        if entry is None:
+            with span("router.stitch", source=source):
+                entry = self._stitch(source)
+            self._cache.insert(source, entry)
         return entry
 
     # ------------------------------------------------------------------ #
@@ -586,43 +570,19 @@ class ShardRouter:
         return tuple(path)
 
     # ------------------------------------------------------------------ #
-    # Validation (mirrors QueryPlanner exactly)
-    # ------------------------------------------------------------------ #
-    def _check_vertex(self, v, what: str) -> None:
-        v = coerce_vertex(v, what)
-        if not 0 <= v < self._n:
-            raise ValueError(
-                f"{what} {v} out of range for a graph with n={self._n} vertices"
-            )
-
-    def _validate(self, query) -> None:
-        self._check_vertex(query.source, "source")
-        if isinstance(query, PointToPoint):
-            self._check_vertex(query.target, "target")
-        elif isinstance(query, KNearest):
-            if isinstance(query.k, (bool, np.bool_)) or not isinstance(
-                query.k, (int, np.integer)
-            ):
-                raise TypeError(f"k must be an integer, got {query.k!r}")
-            if query.k < 0:
-                raise ValueError(f"k must be >= 0, got {query.k}")
-
-    # ------------------------------------------------------------------ #
     # Query surface
     # ------------------------------------------------------------------ #
     def distances(self, source: int) -> np.ndarray:
         """All input-graph distances from ``source`` (read-only row),
         stitched source shard → overlay → every shard."""
-        self._check_vertex(source, "source")
-        return self._stitched(int(source)).dist
+        return self._stitched(_check_vertex(source, "source", self._n)).dist
 
     def route(self, source: int, target: int) -> Route:
         """Exact distance ``source → target`` plus (when parents are
         tracked) a stitched path whose hops are composite edges carrying
         exact input-graph distances."""
-        self._check_vertex(source, "source")
-        self._check_vertex(target, "target")
-        source, target = int(source), int(target)
+        source = _check_vertex(source, "source", self._n)
+        target = _check_vertex(target, "target", self._n)
         st = self._stitched(source)
         distance = float(st.dist[target])
         path: tuple[int, ...] | None = None
@@ -632,21 +592,15 @@ class ShardRouter:
 
     def nearest(self, source: int, k: int) -> Nearest:
         """The ``k`` closest vertices to ``source``, graph-wide."""
-        query = KNearest(source, k)
-        self._validate(query)
-        return nearest_from_row(
-            int(source), self._stitched(int(source)).dist, int(k)
-        )
+        _validate(KNearest(source, k), self._n)
+        return nearest_from_row(int(source), self._stitched(int(source)).dist, int(k))
 
     def batch(self, queries: Sequence) -> list:
         """Mixed batch, answered in input order.  Queries sharing a
         source share one stitched row (router LRU + per-shard backend
         caches underneath)."""
-        normalized = [normalize_query(q) for q in queries]
-        for q in normalized:
-            self._validate(q)
         answers = []
-        for q in normalized:
+        for q in _validated(queries, self._n):
             if isinstance(q, SingleSource):
                 answers.append(self._stitched(q.source).dist)
             elif isinstance(q, PointToPoint):
@@ -662,98 +616,24 @@ class ShardRouter:
     def warm(self, sources: Iterable[int]) -> None:
         """Pre-stitch known-hot sources (and thereby pre-solve their
         shards' boundary rows, the shared working set)."""
-        checked = []
-        for s in sources:
-            self._check_vertex(s, "source")
-            checked.append(int(s))
-        for s in checked:
+        for s in [_check_vertex(v, "source", self._n) for v in sources]:
             self._stitched(s)
 
     # ------------------------------------------------------------------ #
     # Observability
     # ------------------------------------------------------------------ #
-    def instrument(self, registry=None) -> str:
-        """Attach the router to a metrics registry; returns its
-        ``service`` label value.
+    _obs_prefix = "router"
 
-        The sharded mirror of :meth:`RoutingService.instrument
-        <repro.serve.service.RoutingService.instrument>`: one
-        :class:`~repro.obs.metrics.EngineTelemetry` observer shared by
-        every local shard's solver (engine histograms aggregate across
-        shards — the ``engine`` label already distinguishes what
-        matters), and one weakly-held scrape-time collector emitting
-        ``planner_*`` families per local shard (``shard`` label = shard
-        id), the router's own ``router_stitched_*`` LRU families, and
-        per-backend ``shard_backend_*`` health/latency families (remote
-        shards included — their planner counters live on their *own*
-        server's scrape).  Idempotent per registry; ``None`` = the
-        process-global default.
-        """
-        from ..obs.metrics import EngineTelemetry, get_default_registry
-
-        if registry is None:
-            registry = get_default_registry()
-        if self._obs_registry is registry:
-            return self._obs_label
-        self._obs_registry = registry
-        self._obs_label = next_instance_label("router")
-        telemetry = EngineTelemetry(registry)
-        for solver in self._solvers:
-            if solver is not None:
-                solver.set_observer(telemetry)
-        registry.register_collector(self._collect_metrics)
-        return self._obs_label
-
-    def _collect_metrics(self):
-        """Scrape-time collector: per-shard planner counters, the
-        stitched-row LRU, per-backend health/latency, and the query
-        total."""
-        from ..obs.metrics import MetricFamily, Sample
-
-        svc = ("service", self._obs_label)
-        entries = [
-            ((svc, ("shard", str(s))), planner.stats())
-            for s, planner in enumerate(self._planners)
-            if planner is not None
+    def _surface_families(self, svc):
+        """The stitched-row LRU and per-backend health/latency families
+        (remote backends included)."""
+        backends = [
+            ((svc, ("shard", str(s)), ("kind", backend.kind)), backend)
+            for s, backend in enumerate(self._backends)
+            if backend is not None
         ]
-        fams = planner_cache_families(entries)
-        with self._cache_lock:
-            stitched = {
-                "hits": self._hits,
-                "misses": self._misses,
-                "evictions": self._evictions,
-                "cached_rows": len(self._cache),
-            }
-        fams.extend(stitched_cache_families((svc,), stitched))
-        fams.extend(
-            backend_families(
-                [
-                    ((svc, ("shard", str(s)), ("kind", backend.kind)), backend)
-                    for s, backend in enumerate(self._backends)
-                    if backend is not None
-                ]
-            )
-        )
-        queries = MetricFamily(
-            "service_queries_answered_total",
-            "counter",
-            "SSSP queries answered (the amortization denominator)",
-        )
-        queries.samples.append(
-            Sample(
-                "",
-                (svc,),
-                float(
-                    sum(
-                        solver.queries_answered
-                        for solver in self._solvers
-                        if solver is not None
-                    )
-                ),
-            )
-        )
-        fams.append(queries)
-        return fams
+        fams = stitched_cache_families((svc,), self._cache.counters())
+        return fams + backend_families(backends)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -781,8 +661,14 @@ class ShardRouter:
 
     def shard_of(self, vertex: int) -> int:
         """The shard a vertex lives in (input-graph ids)."""
-        self._check_vertex(vertex, "vertex")
-        return int(self._labels[int(vertex)])
+        return int(self._labels[_check_vertex(vertex, "vertex", self._n)])
+
+    def _shard_size(self, s: int) -> dict:
+        return {
+            "shard": s,
+            "vertices": int(len(self._shard_vertices[s])),
+            "boundary": int(len(self._boundary_ov[s])),
+        }
 
     def topology(self) -> dict:
         """Shard topology: per-shard vertex/boundary counts, resolved
@@ -792,19 +678,12 @@ class ShardRouter:
         reports ``None`` here; :meth:`stats` fills it in from the
         shard's live ``/stats``.
         """
-        shards = []
-        for s in range(self.n_shards):
-            planner = self._planners[s]
-            shards.append(
-                {
-                    "shard": s,
-                    "vertices": int(len(self._shard_vertices[s])),
-                    "boundary": int(len(self._boundary_ov[s])),
-                    "engine": planner.engine if planner is not None else None,
-                }
-            )
+        engines = {s: planner.engine for s, planner, _ in self._local_shards}
         return {
-            "shards": shards,
+            "shards": [
+                {**self._shard_size(s), "engine": engines.get(s)}
+                for s in range(self.n_shards)
+            ],
             "overlay": {
                 "vertices": int(self._n_ov),
                 "edges": int(self._overlay.m),
@@ -820,106 +699,45 @@ class ShardRouter:
         satellite topology — artifact version, shard count, per-shard
         vertex/boundary counts — rides along for ``GET /stats``.
 
-        Parity with :meth:`RoutingService.stats
-        <repro.serve.service.RoutingService.stats>`: the same
-        ``engines`` registry listing, and a ``per_shard`` table giving
-        every shard's full planner counter snapshot plus its
-        preprocessing provenance (``preferred_engine``, ``reorder``,
-        sanitized ``locality``) — the aggregate totals above stay, the
-        table is where a per-shard imbalance shows up.
+        Every shard is read through its backend's ``stats()``, local
+        and remote alike: the keys of
+        :meth:`RoutingService.stats <repro.serve.service.RoutingService.stats>`
+        that describe one planner (counters, ``queries_answered``,
+        ``preferred_engine``, ``reorder``, sanitized ``locality``) land
+        in the ``per_shard`` table — the aggregate totals above stay,
+        the table is where a per-shard imbalance shows up — and the
+        ``engines`` registry listing is the same.
 
-        New with the backend seam: a ``backends`` table — one row per
-        shard backend with its kind, endpoint, health, consecutive
-        failures, and p50 row-fetch latency (ms) from the backend's own
-        histogram.  A shard whose server is unreachable appears in
-        ``per_shard`` as ``{"unavailable": true}`` instead of failing
-        the whole stats call.
+        The ``backends`` table has one row per shard backend with its
+        kind, endpoint, health, consecutive failures, and p50 row-fetch
+        latency (ms) from the backend's own histogram.  A shard whose
+        server is unreachable appears in ``per_shard`` as
+        ``{"unavailable": true}`` instead of failing the whole stats
+        call.
         """
-        from ..engine.registry import available_engines, get_engine
-
         agg = {key: 0 for key in _AGG_KEYS}
         engines = set()
         per_shard = []
         backends_table = []
-        queries = 0
         topo = self.topology()
         for s, backend in enumerate(self._backends):
             if backend is None:
                 continue
             backends_table.append(backend.backend_stats())
+            entry = self._shard_size(s)
+            per_shard.append(entry)
             try:
                 pstats = backend.stats()
             except ShardUnavailableError as exc:
-                per_shard.append(
-                    {
-                        "shard": s,
-                        "vertices": int(len(self._shard_vertices[s])),
-                        "boundary": int(len(self._boundary_ov[s])),
-                        "unavailable": True,
-                        "error": str(exc),
-                    }
-                )
+                entry.update(unavailable=True, error=str(exc))
                 continue
             if "engine" in pstats:
                 engines.add(pstats["engine"])
                 topo["shards"][s]["engine"] = pstats["engine"]
             for key in agg:
                 agg[key] += pstats.get(key, 0)
-            solver = self._solvers[s]
-            queries += (
-                solver.queries_answered
-                if solver is not None
-                else int(pstats.get("queries_answered", 0))
-            )
-            if self._sharded is not None:
-                pre = self._sharded.shards[s]
-                provenance = {
-                    "preferred_engine": getattr(pre, "preferred_engine", ""),
-                    "reorder": getattr(pre, "reorder", "natural"),
-                    "locality": {
-                        "before": json_finite(
-                            getattr(pre, "locality_before", float("nan"))
-                        ),
-                        "after": json_finite(
-                            getattr(pre, "locality_after", float("nan"))
-                        ),
-                    },
-                }
-            else:
-                # a remote shard's provenance comes from its own stats
-                provenance = {
-                    "preferred_engine": pstats.get("preferred_engine", ""),
-                    "reorder": pstats.get("reorder", "natural"),
-                    "locality": pstats.get(
-                        "locality", {"before": None, "after": None}
-                    ),
-                }
-            entry = {
-                "shard": s,
-                "vertices": int(len(self._shard_vertices[s])),
-                "boundary": int(len(self._boundary_ov[s])),
-            }
-            if self._planners[s] is not None:
-                entry.update(pstats)
-            else:
-                entry.update(
-                    {
-                        key: pstats[key]
-                        for key in (*_AGG_KEYS, "engine", "queries_answered")
-                        if key in pstats
-                    }
-                )
-            entry.update(provenance)
-            per_shard.append(entry)
-        with self._cache_lock:
-            stitched = {
-                "capacity": self._capacity,
-                "cached_rows": len(self._cache),
-                "hits": self._hits,
-                "misses": self._misses,
-                "lookups": self._lookups,
-                "evictions": self._evictions,
-            }
+            entry.update({key: pstats[key] for key in _SHARD_KEYS if key in pstats})
+        queries = sum(int(e.get("queries_answered", 0)) for e in per_shard)
         return {
             **agg,
             "engine": engines.pop() if len(engines) == 1 else "mixed",
@@ -934,12 +752,9 @@ class ShardRouter:
             "edge_cut": self._topo.edge_cut,
             "balance": self._topo.balance,
             "artifact_version": SHARDED_ARTIFACT_VERSION,
-            "stitched": stitched,
+            "stitched": self._cache.counters(),
             "backends": backends_table,
-            "engines": {
-                name: get_engine(name).description
-                for name in available_engines()
-            },
+            "engines": _engine_descriptions(),
             "per_shard": per_shard,
             "topology": topo,
         }

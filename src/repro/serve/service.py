@@ -30,16 +30,21 @@ import numpy as np
 
 from ..core.solver import PreprocessedSSSP
 from ..graphs.csr import CSRGraph
-from .artifacts import ARTIFACT_VERSION, load_artifact, save_artifact
-from .obs_bridge import next_instance_label, planner_cache_families
+from .artifacts import (
+    ARTIFACT_VERSION,
+    _reject_baked_knobs,
+    load_artifact,
+    save_artifact,
+)
+from .obs_bridge import _InstrumentedSurface
 from .planner import Nearest, QueryPlanner, Route
 from .shm import DistanceMatrix, solve_many_shm
-from .surface import json_finite
+from .surface import _shard_stats
 
 __all__ = ["RoutingService"]
 
 
-class RoutingService:
+class RoutingService(_InstrumentedSurface):
     """Synchronous query-serving facade over a preprocessed graph.
 
     Parameters
@@ -107,8 +112,8 @@ class RoutingService:
             n_jobs=query_jobs,
             stripes=cache_stripes,
         )
-        self._obs_registry = None
-        self._obs_label = ""
+        # the one-planner case of the shared instrument()/collector
+        self._local_shards = [(0, self._planner, solver)]
 
     # ------------------------------------------------------------------ #
     # Construction / persistence
@@ -135,23 +140,7 @@ class RoutingService:
         silently ignored, and the caller who wants different ones must
         rebuild and re-save.
         """
-        baked = {
-            "graph",
-            "solver",
-            "k",
-            "rho",
-            "heuristic",
-            "preprocess_jobs",
-            "reorder",
-            "reorder_seed",
-        }
-        rejected = baked & kwargs.keys()
-        if rejected:
-            raise TypeError(
-                f"from_artifact does not accept {sorted(rejected)}: the "
-                "artifact fixes the preprocessing; rebuild with "
-                "RoutingService(graph, ...) to change it"
-            )
+        _reject_baked_knobs(cls, kwargs, "artifact fixes the preprocessing", "it")
         pre = load_artifact(path, expect_graph=expect_graph, mmap=mmap)
         solver = PreprocessedSSSP.from_preprocessed(pre, input_graph=expect_graph)
         return cls(solver=solver, **kwargs)
@@ -207,61 +196,6 @@ class RoutingService:
         )
 
     # ------------------------------------------------------------------ #
-    # Observability
-    # ------------------------------------------------------------------ #
-    def instrument(self, registry=None) -> str:
-        """Attach this service to a metrics registry; returns its
-        ``service`` label value.
-
-        Two things happen, neither touching the query hot path:
-
-        * an :class:`~repro.obs.metrics.EngineTelemetry` observer is
-          installed on the solver, so every solve folds its
-          step/substep/relaxation counts into the per-engine histograms;
-        * a scrape-time collector (held by weak reference — a dropped
-          service silently leaves the scrape) is registered that shapes
-          :meth:`QueryPlanner.stats` into ``planner_*`` families under a
-          process-unique ``service`` label and ``shard="0"``.
-
-        ``registry=None`` uses the process-global default.  Idempotent
-        per registry; instrumenting a second registry moves the service
-        (one observer, one label).  The HTTP front end calls this
-        automatically for any surface that has it.
-        """
-        from ..obs.metrics import EngineTelemetry, get_default_registry
-
-        if registry is None:
-            registry = get_default_registry()
-        if self._obs_registry is registry:
-            return self._obs_label
-        self._obs_registry = registry
-        self._obs_label = next_instance_label("service")
-        self._solver.set_observer(EngineTelemetry(registry))
-        registry.register_collector(self._collect_metrics)
-        return self._obs_label
-
-    def _collect_metrics(self):
-        """Scrape-time collector: planner counters + query totals."""
-        from ..obs.metrics import MetricFamily, Sample
-
-        base = (("service", self._obs_label), ("shard", "0"))
-        fams = planner_cache_families([(base, self._planner.stats())])
-        queries = MetricFamily(
-            "service_queries_answered_total",
-            "counter",
-            "SSSP queries answered (the amortization denominator)",
-        )
-        queries.samples.append(
-            Sample(
-                "",
-                (("service", self._obs_label),),
-                float(self._solver.queries_answered),
-            )
-        )
-        fams.append(queries)
-        return fams
-
-    # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
     @property
@@ -273,44 +207,24 @@ class RoutingService:
         """Planner counters plus preprocessing provenance.
 
         ``engine`` is the planner's *resolved* engine (what every query
-        actually dispatches to), ``preferred_engine`` the calibrated
-        winner stored by preprocessing (``""`` when never calibrated),
-        and ``engines`` the full registry with per-engine descriptions
-        — enough for an operator at ``GET /stats`` to see which engine
-        an artifact selected and what the alternatives are.  ``reorder``
-        names the locality ordering preprocessing ran under and
-        ``locality`` its mean-neighbor-gap diagnostic (input layout vs
-        the layout queries actually run on; ``null`` when the artifact
-        predates the diagnostic).
-
-        Topology fields mirror the sharded surface
-        (:meth:`repro.serve.router.ShardRouter.stats`): a single-graph
-        service is the one-shard special case, so it reports
-        ``shards: 1``, its artifact version, and a one-entry per-shard
+        actually dispatches to); the counter and provenance keys
+        (``preferred_engine``, ``reorder``, ``locality``, ``engines``)
+        are :func:`repro.serve.surface._shard_stats`, the same helper
+        that builds each shard's entry in
+        :meth:`repro.serve.router.ShardRouter.stats`.  A single-graph
+        service is the one-shard special case, so it also reports
+        ``shards: 1``, its artifact version, and a one-entry topology
         table with a zero-size boundary.
         """
-        from ..engine.registry import available_engines, get_engine
-
         pre = self._solver.preprocessing
         return {
-            **self._planner.stats(),
-            "queries_answered": self._solver.queries_answered,
+            **_shard_stats(self._planner, self._solver),
             "k": pre.k,
             "rho": pre.rho,
             "heuristic": pre.heuristic,
             "n": self._solver.graph.n,
             "m": self._solver.graph.m,
             "shortcut_edges": pre.new_edges,
-            "preferred_engine": getattr(pre, "preferred_engine", ""),
-            "reorder": getattr(pre, "reorder", "natural"),
-            "locality": {
-                "before": json_finite(getattr(pre, "locality_before", float("nan"))),
-                "after": json_finite(getattr(pre, "locality_after", float("nan"))),
-            },
-            "engines": {
-                name: get_engine(name).description
-                for name in available_engines()
-            },
             "shards": 1,
             "artifact_version": ARTIFACT_VERSION,
             "topology": {

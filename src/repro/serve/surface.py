@@ -1,8 +1,8 @@
 """The query-surface protocol every serving front end is written against.
 
-PR 8 split serving into two implementations of one surface: the
-single-graph :class:`~repro.serve.service.RoutingService` and the
-shard-routed :class:`~repro.serve.router.ShardRouter`.  The HTTP front
+Serving has two implementations of one surface: the single-graph
+:class:`~repro.serve.service.RoutingService` and the shard-routed
+:class:`~repro.serve.router.ShardRouter`.  The HTTP front
 end (and any future async/gRPC front end) is constructed against this
 protocol, not a concrete class — sharded serving is a drop-in behind
 the same JSON API.
@@ -25,6 +25,7 @@ from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
+from ..engine.registry import available_engines, get_engine
 from .planner import Nearest, Route
 
 __all__ = ["QuerySurface", "json_finite"]
@@ -33,13 +34,45 @@ __all__ = ["QuerySurface", "json_finite"]
 def json_finite(value) -> float | None:
     """``float(value)``, or ``None`` when it is not finite.
 
-    ``stats()`` payloads are served verbatim as JSON, and ``NaN`` /
-    ``Infinity`` are not JSON — every surface implementation sanitizes
-    unmeasured diagnostics (pre-v3 artifacts carry ``nan`` locality)
-    through this one helper so they agree on ``null``.
+    ``stats()`` payloads and answers are served verbatim as JSON, and
+    ``NaN`` / ``Infinity`` are not JSON — unmeasured diagnostics
+    (pre-v3 artifacts carry ``nan`` locality) and unreachable route
+    distances go through this one helper so every surface agrees on
+    ``null``.
     """
     value = float(value)
     return value if math.isfinite(value) else None
+
+
+def _engine_descriptions() -> dict:
+    """The ``engines`` block of a ``stats()`` payload: every registered
+    engine name with its description."""
+    return {name: get_engine(name).description for name in available_engines()}
+
+
+def _shard_stats(planner, solver) -> dict:
+    """One planner's ``stats()`` core, shared by every surface and shard.
+
+    The planner's counters, the solver's ``queries_answered`` total, and
+    the preprocessing provenance: ``preferred_engine`` (the calibrated
+    winner, ``""`` when never calibrated), the ``reorder`` ordering,
+    its sanitized ``locality`` diagnostic (``null`` when the artifact
+    predates it), and the ``engines`` listing.  A remote shard's
+    ``/stats`` carries the same keys, so the router reads local and
+    remote shards alike.
+    """
+    pre = solver.preprocessing
+    return {
+        **planner.stats(),
+        "queries_answered": solver.queries_answered,
+        "preferred_engine": getattr(pre, "preferred_engine", ""),
+        "reorder": getattr(pre, "reorder", "natural"),
+        "locality": {
+            "before": json_finite(getattr(pre, "locality_before", float("nan"))),
+            "after": json_finite(getattr(pre, "locality_after", float("nan"))),
+        },
+        "engines": _engine_descriptions(),
+    }
 
 
 @runtime_checkable

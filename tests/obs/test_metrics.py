@@ -282,3 +282,34 @@ class TestEngineTelemetry:
         assert res.dist is not None
         exp = parse(render(reg))
         assert exp.value("engine_solves_total", engine=name) == 1.0
+
+
+#: engines whose adapters run the unified Algorithm-1 driver, which
+#: records one ``engine_step_*`` observation per outer step.
+DRIVER_ENGINES = (
+    "vectorized",
+    "bucket",
+    "dijkstra",
+    "delta",
+    "delta-star",
+    "rho",
+    "bellman-ford",
+)
+
+
+@pytest.mark.parametrize("engine", DRIVER_ENGINES)
+def test_step_telemetry_observes_every_step(engine):
+    """Every driver engine forwards its telemetry handle to the driver:
+    the per-step histograms count exactly ``res.steps`` observations."""
+    from repro.engine import solve_with_engine
+    from repro.graphs import generators
+    from repro.graphs.weights import random_integer_weights
+
+    g = random_integer_weights(generators.grid_2d(10, 10), low=1, high=50, seed=5)
+    reg = MetricsRegistry()
+    res = solve_with_engine(engine, g, 0, 2.0, obs=EngineTelemetry(reg))
+    assert res.steps >= 1
+    exp = parse(render(reg))
+    assert exp.value("engine_step_substeps_count", engine=engine) == res.steps
+    assert exp.value("engine_step_settled_count", engine=engine) == res.steps
+    assert exp.value("engine_solves_total", engine=engine) == 1.0

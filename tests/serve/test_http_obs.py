@@ -127,6 +127,30 @@ class TestMetricsEndpoint:
         evictions = sum(exp.series("planner_cache_evictions_total").values())
         assert evictions == stats["evictions"]
 
+        def shard_value(name, shard, **extra):
+            want = {"shard": shard, **extra}
+            [value] = [
+                v
+                for labels, v in exp.series(name).items()
+                if {k: x for k, x in labels if k != "service"} == want
+            ]
+            return value
+
+        # each shard's planner_* series is that shard's /stats entry; the
+        # single-graph service is the one-shard case (its top level)
+        for entry in stats.get("per_shard", [dict(stats, shard=0)]):
+            shard = str(entry["shard"])
+            lookups = "planner_cache_lookups_total"
+            assert shard_value(lookups, shard, outcome="hit") == entry["hits"]
+            assert shard_value(lookups, shard, outcome="miss") == entry["misses"]
+            assert (
+                shard_value("planner_cache_evictions_total", shard)
+                == entry["evictions"]
+            )
+            assert shard_value("planner_cached_rows", shard) == entry["cached_rows"]
+        [answered] = exp.series("service_queries_answered_total").values()
+        assert answered == stats["queries_answered"]
+
     def test_error_responses_counted(self, stack):
         _surface, _registry, server = stack
         _get_error(f"{server.url}/distances/abc")  # 400
